@@ -8,7 +8,6 @@ from .lattice import (
     ModelMismatchError,
     NonIntegralClassError,
     NotCartierError,
-    Rational,
     SurfaceModel,
     UnsupportedModelError,
     blowup,

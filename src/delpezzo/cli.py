@@ -78,8 +78,12 @@ def _cmd_classify(args) -> int:
     if args.p not in (2, 3):
         print(f"error: classify requires --p 2 or --p 3, got {args.p}", file=sys.stderr)
         return 2
-    rows = cls.classify_rows(args.p, m_max=args.m_max, fold_quadric=not args.no_fold)
-    audits = cls.audit_m_filters(args.p, m_max=args.m_max) if args.audit else []
+    try:
+        rows = cls.classify_rows(args.p, m_max=args.m_max, fold_quadric=not args.no_fold)
+        audits = cls.audit_m_filters(args.p, m_max=args.m_max) if args.audit else []
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         payload = [_row_to_json(r) for r in rows]
         if args.audit:
@@ -288,17 +292,17 @@ def _dispatch_lattice(request: dict):
             raise ValueError("resolution_pullback expects a class on a weighted plane")
         return lat.resolution_pullback(m, d)
     if op == "discrepancy":
-        return lat.discrepancy(int(request["m"]))
+        return lat.discrepancy(lat.int_from_json(request["m"], "m"))
     if op == "blowup":
-        return lat.blowup(lat.model_from_json(request["model"]), int(request["degree"]))
+        model = lat.model_from_json(request["model"])
+        return lat.blowup(model, lat.int_from_json(request["degree"], "degree"))
     if op == "total_transform":
         model = lat.model_from_json(request["model"])
         return lat.total_transform(model, lat.class_from_json(request["class"]))
     if op == "proper_transform":
         model = lat.model_from_json(request["model"])
-        return lat.proper_transform(
-            model, lat.class_from_json(request["class"]), int(request["multiplicity"])
-        )
+        d = lat.class_from_json(request["class"])
+        return lat.proper_transform(model, d, lat.int_from_json(request["multiplicity"], "multiplicity"))
     raise ValueError(f"unknown op: {op!r}")
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction, str]
 
 PLANE = "plane"
@@ -46,7 +45,7 @@ def _rat(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        return rational_from_str(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
@@ -54,9 +53,12 @@ def _rat_row(xs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(_rat(x) for x in xs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceModel:
     """A surface class lattice: basis, intersection form, canonical class.
+
+    The form is block-diagonal, ``block`` + diag(-d_1, ..., -d_n) over the
+    residue degrees in ``centers``; a blowup chain stores only its base's block.
 
     Instances are immutable and compared structurally; build them through
     :func:`projective_plane`, :func:`quadric`, :func:`hirzebruch`,
@@ -65,17 +67,37 @@ class SurfaceModel:
 
     kind: str
     basis_labels: tuple[str, ...]
-    form: tuple[tuple[Fraction, ...], ...]
+    block: tuple[tuple[Fraction, ...], ...]
     canonical_coeffs: tuple[Fraction, ...]
     effective_gen_coeffs: tuple[tuple[Fraction, ...], ...] = ()
-    nef_gen_coeffs: tuple[tuple[Fraction, ...], ...] = ()
     m: int | None = None
     base: "SurfaceModel | None" = None
     centers: tuple[int, ...] = ()
 
+    def _key(self) -> tuple:
+        # an ad-hoc lattice is its data; every other model is fixed by these
+        if self.kind == LATTICE:
+            return (self.kind, self.basis_labels, self.block, self.canonical_coeffs)
+        return (self.kind, self.m, self.base, self.centers)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, SurfaceModel) and self._key() == other._key())
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def rank(self) -> int:
         return len(self.basis_labels)
+
+    @property
+    def form(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense intersection matrix, assembled on each call."""
+        r, pad = len(self.block), (Fraction(0),) * len(self.centers)
+        rows = [row + pad for row in self.block]
+        for k, d in enumerate(self.centers):
+            rows.append((Fraction(0),) * (r + k) + (Fraction(-d),) + pad[k + 1 :])
+        return tuple(rows)
 
     @property
     def canonical(self) -> "DivisorClass":
@@ -84,10 +106,6 @@ class SurfaceModel:
     @property
     def effective_generators(self) -> tuple["DivisorClass", ...]:
         return tuple(DivisorClass(self, c) for c in self.effective_gen_coeffs)
-
-    @property
-    def nef_generators(self) -> tuple["DivisorClass", ...]:
-        return tuple(DivisorClass(self, c) for c in self.nef_gen_coeffs)
 
     def divisor(self, *coeffs: RationalLike) -> "DivisorClass":
         return DivisorClass(self, _rat_row(coeffs))
@@ -131,7 +149,7 @@ class DivisorClass:
         return all(c == 0 for c in self.coeffs)
 
     def _check_same_model(self, other: "DivisorClass") -> None:
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatchError(
                 f"classes live on different models: {self.model} vs {other.model}"
             )
@@ -175,10 +193,9 @@ def projective_plane() -> SurfaceModel:
     return SurfaceModel(
         kind=PLANE,
         basis_labels=("H",),
-        form=((one,),),
+        block=((one,),),
         canonical_coeffs=(Fraction(-3),),
         effective_gen_coeffs=((one,),),
-        nef_gen_coeffs=((one,),),
     )
 
 
@@ -188,10 +205,9 @@ def quadric() -> SurfaceModel:
     return SurfaceModel(
         kind=QUADRIC,
         basis_labels=("F1", "F2"),
-        form=((z, o), (o, z)),
+        block=((z, o), (o, z)),
         canonical_coeffs=(Fraction(-2), Fraction(-2)),
         effective_gen_coeffs=((o, z), (z, o)),
-        nef_gen_coeffs=((o, z), (z, o)),
     )
 
 
@@ -203,10 +219,9 @@ def hirzebruch(m: int) -> SurfaceModel:
     return SurfaceModel(
         kind=HIRZEBRUCH,
         basis_labels=("C", "F"),
-        form=((Fraction(-m), o), (o, z)),
+        block=((Fraction(-m), o), (o, z)),
         canonical_coeffs=(Fraction(-2), Fraction(-(m + 2))),
         effective_gen_coeffs=((o, z), (z, o)),
-        nef_gen_coeffs=((z, o), (o, Fraction(m))),  # F and C+mF
         m=m,
     )
 
@@ -222,10 +237,9 @@ def weighted_plane(m: int) -> SurfaceModel:
     return SurfaceModel(
         kind=WEIGHTED_PLANE,
         basis_labels=("F",),
-        form=((Fraction(1, m),),),
+        block=((Fraction(1, m),),),
         canonical_coeffs=(Fraction(-(m + 2)),),
         effective_gen_coeffs=((one,),),
-        nef_gen_coeffs=((one,),),
         m=m,
     )
 
@@ -251,32 +265,26 @@ def lattice_model(
     k = _rat_row(canonical)
     if len(k) != len(labels):
         raise ValueError("canonical class has the wrong length")
-    return SurfaceModel(kind=LATTICE, basis_labels=labels, form=rows, canonical_coeffs=k)
+    return SurfaceModel(kind=LATTICE, basis_labels=labels, block=rows, canonical_coeffs=k)
 
 
-def _chain(root: SurfaceModel, centers: tuple[int, ...]) -> SurfaceModel:
-    n = len(centers)
-    labels = root.basis_labels + tuple(f"E{i + 1}" for i in range(n))
-    rank = root.rank + n
-    z = Fraction(0)
-    rows = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            if i < root.rank and j < root.rank:
-                row.append(root.form[i][j])
-            elif i == j:
-                row.append(Fraction(-centers[i - root.rank]))
-            else:
-                row.append(z)
-        rows.append(tuple(row))
-    canonical = root.canonical_coeffs + tuple(Fraction(1) for _ in centers)
+def _chain(base: SurfaceModel, centers: tuple[int, ...]) -> SurfaceModel:
+    """``base`` blown up at points of the given degrees, as one flat chain."""
+    for degree in centers:
+        if not isinstance(degree, int) or degree < 1:
+            raise ValueError(f"center degree must be an integer >= 1, got {degree!r}")
+    if not centers:
+        return base
+    labels = base.basis_labels + tuple(f"E{len(base.centers) + k}" for k in range(1, len(centers) + 1))
+    canonical = base.canonical_coeffs + (Fraction(1),) * len(centers)
+    if base.kind == BLOWUP:
+        base, centers = base.base, base.centers + centers
     return SurfaceModel(
         kind=BLOWUP,
         basis_labels=labels,
-        form=tuple(rows),
+        block=base.block,
         canonical_coeffs=canonical,
-        base=root,
+        base=base,
         centers=centers,
     )
 
@@ -288,10 +296,6 @@ def blowup(base: SurfaceModel, degree: int) -> SurfaceModel:
     everything pulled back; the canonical class gains +E.  Blowing up a chain
     extends the chain.
     """
-    if not isinstance(degree, int) or degree < 1:
-        raise ValueError(f"center degree must be an integer >= 1, got {degree!r}")
-    if base.kind == BLOWUP:
-        return _chain(base.base, base.centers + (degree,))
     return _chain(base, (degree,))
 
 
@@ -299,8 +303,6 @@ def blowup_parent(model: SurfaceModel) -> SurfaceModel:
     """The model before the most recent blowup in a chain."""
     if model.kind != BLOWUP:
         raise UnsupportedModelError(f"{model} is not a blowup chain")
-    if len(model.centers) == 1:
-        return model.base
     return _chain(model.base, model.centers[:-1])
 
 
@@ -322,21 +324,20 @@ def canonicalize_model(model: SurfaceModel) -> SurfaceModel:
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """The intersection number a.b through the model's bilinear form."""
-    if a.model != b.model:
-        raise ModelMismatchError(
-            f"classes live on different models: {a.model} vs {b.model}"
-        )
-    form = a.model.form
+    """The intersection number a.b through the model's bilinear form: the
+    base block densely, plus -d_k a_k b_k for each exceptional class E_k."""
+    a._check_same_model(b)
+    model, x, y = a.model, a.coeffs, b.coeffs
+    r = len(model.block)
     total = Fraction(0)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        row = form[i]
-        for j, bj in enumerate(b.coeffs):
-            if bj == 0:
-                continue
-            total += ai * row[j] * bj
+    for i, row in enumerate(model.block):
+        if x[i]:
+            for j in range(r):
+                if y[j]:
+                    total += x[i] * row[j] * y[j]
+    for d, s, t in zip(model.centers, x[r:], y[r:]):
+        if s and t:
+            total -= d * s * t
     return total
 
 
@@ -446,25 +447,20 @@ def discrepancy(m: int) -> Fraction:
 
 def total_transform(model: SurfaceModel, d: DivisorClass) -> DivisorClass:
     """Pull a class on the parent model back to the blowup (zero on the new E)."""
-    if model.kind != BLOWUP:
-        raise UnsupportedModelError(f"{model} is not a blowup chain")
-    if d.model != blowup_parent(model):
-        raise ModelMismatchError(
-            f"total transform expects a class on {blowup_parent(model)}, got one on {d.model}"
-        )
-    return DivisorClass(model, d.coeffs + (Fraction(0),))
+    return _transform(model, d, 0, "total")
 
 
 def proper_transform(model: SurfaceModel, d: DivisorClass, multiplicity: int) -> DivisorClass:
     """Total transform minus multiplicity times the newest exceptional class."""
     if not isinstance(multiplicity, int) or multiplicity < 0:
         raise ValueError(f"multiplicity must be an integer >= 0, got {multiplicity!r}")
-    if model.kind != BLOWUP:
-        raise UnsupportedModelError(f"{model} is not a blowup chain")
-    if d.model != blowup_parent(model):
-        raise ModelMismatchError(
-            f"proper transform expects a class on {blowup_parent(model)}, got one on {d.model}"
-        )
+    return _transform(model, d, multiplicity, "proper")
+
+
+def _transform(model: SurfaceModel, d: DivisorClass, multiplicity: int, name: str) -> DivisorClass:
+    parent = blowup_parent(model)  # raises UnsupportedModelError off a chain
+    if d.model != parent:
+        raise ModelMismatchError(f"{name} transform expects a class on {parent}, got one on {d.model}")
     return DivisorClass(model, d.coeffs + (Fraction(-multiplicity),))
 
 
@@ -523,18 +519,23 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
+def int_from_json(value, name: str) -> int:
+    """A JSON integer, taken as is.  Any other JSON value, a boolean or a
+    number with a fractional part included, is refused, never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def model_to_json(model: SurfaceModel) -> dict:
-    if model.kind == PLANE:
-        return {"kind": "plane"}
-    if model.kind == QUADRIC:
-        return {"kind": "quadric"}
-    if model.kind == HIRZEBRUCH:
-        return {"kind": "hirzebruch", "m": model.m}
-    if model.kind == WEIGHTED_PLANE:
-        return {"kind": "weighted_plane", "m": model.m}
+    if model.kind in BASE_KINDS:
+        return {"kind": model.kind} if model.m is None else {"kind": model.kind, "m": model.m}
     if model.kind == BLOWUP:
         return {
             "kind": "blowup",
@@ -553,19 +554,13 @@ def model_from_json(obj: dict) -> SurfaceModel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"not a model object: {obj!r}")
     kind = obj["kind"]
-    if kind == "plane":
-        return projective_plane()
-    if kind == "quadric":
-        return quadric()
-    if kind == "hirzebruch":
-        return hirzebruch(int(obj["m"]))
-    if kind == "weighted_plane":
-        return weighted_plane(int(obj["m"]))
+    if kind in (PLANE, QUADRIC):
+        return projective_plane() if kind == PLANE else quadric()
+    if kind in (HIRZEBRUCH, WEIGHTED_PLANE):
+        return (hirzebruch if kind == HIRZEBRUCH else weighted_plane)(int_from_json(obj["m"], "m"))
     if kind == "blowup":
-        model = model_from_json(obj["base"])
-        for degree in obj["centers"]:
-            model = blowup(model, int(degree))
-        return model
+        base = model_from_json(obj["base"])
+        return _chain(base, tuple(int_from_json(d, "center degree") for d in obj["centers"]))
     if kind == "lattice":
         return lattice_model(obj["labels"], obj["form"], obj["canonical"])
     raise ValueError(f"unknown model kind: {kind!r}")

@@ -86,6 +86,13 @@ def test_classify_bad_p(capsys):
     assert "p 2 or --p 3" in err
 
 
+def test_classify_m_max_below_one(capsys):
+    for m_max in ("0", "-3"):
+        code, out, err = run_cli(capsys, ["classify", "--p", "2", "--m-max", m_max])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "m_max" in err
+
+
 # ---------------------------------------------------------------------------
 # bound
 
@@ -267,6 +274,50 @@ def test_lattice_unknown_op(capsys, monkeypatch):
     code, _, err = lattice_request(capsys, monkeypatch, {"op": "frobenius"})
     assert code == 2
     assert "unknown op" in err
+
+
+def test_lattice_zero_denominator(capsys, monkeypatch):
+    code, _, err = lattice_request(
+        capsys,
+        monkeypatch,
+        {"op": "canonical_class", "model": {"kind": "lattice", "labels": ["H"], "form": [["1/0"]], "canonical": ["0"]}},
+    )
+    assert code == 2 and err.startswith("error: ")
+    code, _, err = lattice_request(
+        capsys,
+        monkeypatch,
+        {"op": "is_cartier", "class": {"model": {"kind": "plane"}, "coeffs": ["1/0"]}},
+    )
+    assert code == 2 and err.startswith("error: ")
+
+
+INTEGER_FIELDS = {
+    "model-m": ("m", lambda v: {"op": "canonical_square", "model": {"kind": "hirzebruch", "m": v}}),
+    "discrepancy-m": ("m", lambda v: {"op": "discrepancy", "m": v}),
+    "degree": ("degree", lambda v: {"op": "blowup", "model": {"kind": "quadric"}, "degree": v}),
+    "centers": (
+        "center degree",
+        lambda v: {"op": "canonical_square", "model": {"kind": "blowup", "base": {"kind": "plane"}, "centers": [v]}},
+    ),
+    "multiplicity": (
+        "multiplicity",
+        lambda v: {
+            "op": "proper_transform",
+            "model": {"kind": "blowup", "base": {"kind": "quadric"}, "centers": [2]},
+            "class": {"model": {"kind": "quadric"}, "coeffs": ["1", "1"]},
+            "multiplicity": v,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [2.9, 1.5, True, "2"])
+@pytest.mark.parametrize("case", sorted(INTEGER_FIELDS))
+def test_lattice_integer_fields_are_not_coerced(capsys, monkeypatch, case, bad):
+    field, request_for = INTEGER_FIELDS[case]
+    code, out, err = lattice_request(capsys, monkeypatch, request_for(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field} must be a JSON integer")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -390,6 +391,73 @@ def test_blowup_of_custom_lattice():
     ct = proper_transform(x, h, 1)
     assert intersect(ct, ct) == 0
     assert intersect(-x.canonical, ct) == 2
+
+
+def test_chains_compare_structurally():
+    a = blowup(blowup(quadric(), 2), 3)
+    b = model_from_json({"kind": "blowup", "base": {"kind": "quadric"}, "centers": [2, 3]})
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != blowup(blowup(quadric(), 2), 4)
+    assert a != blowup(blowup(hirzebruch(0), 2), 3)
+    with pytest.raises(ModelMismatchError):
+        intersect(a.zero(), blowup(blowup(quadric(), 3), 2).zero())
+
+
+def test_lattice_models_compare_all_their_data():
+    base = lattice_model(("H",), ((2,),), (-2,))
+    assert base == lattice_model(("H",), ((2,),), (-2,))
+    assert hash(base) == hash(lattice_model(("H",), ((2,),), (-2,)))
+    for other in (
+        lattice_model(("L",), ((2,),), (-2,)),  # labels only
+        lattice_model(("H",), ((2,),), (-1,)),  # canonical class only
+        lattice_model(("H",), ((4,),), (-2,)),  # form only
+    ):
+        assert base != other
+        assert blowup(base, 1) != blowup(other, 1)
+
+
+def test_form_is_block_diagonal():
+    x = blowup(blowup(hirzebruch(2), 3), 1)
+    assert x.form == (
+        (-2, 1, 0, 0),
+        (1, 0, 0, 0),
+        (0, 0, -3, 0),
+        (0, 0, 0, -1),
+    )
+    assert x.basis_labels == ("C", "F", "E1", "E2")
+
+
+def test_long_chain_from_json():
+    # one flat chain, no dense matrix: 1,000 centers decode and square quickly
+    degrees = [1 + (7 * i) % 5 for i in range(1000)]
+    start = time.perf_counter()
+    x = model_from_json({"kind": "blowup", "base": {"kind": "plane"}, "centers": degrees})
+    assert x.rank == 1001
+    assert canonical_square(x) == 9 - sum(degrees)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "hirzebruch", "m": 2.9},
+        {"kind": "weighted_plane", "m": True},
+        {"kind": "hirzebruch", "m": "2"},
+        {"kind": "blowup", "base": {"kind": "plane"}, "centers": [1.5]},
+        {"kind": "blowup", "base": {"kind": "plane"}, "centers": [True]},
+        {"kind": "blowup", "base": {"kind": "plane"}, "centers": [2, 0]},
+    ],
+)
+def test_json_model_integers_are_strict(obj):
+    with pytest.raises(ValueError):
+        model_from_json(obj)
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError):
+        class_from_json({"model": {"kind": "plane"}, "coeffs": ["1/0"]})
+    with pytest.raises(ValueError):
+        lattice_model(("H",), (("1/0",),), (0,))
 
 
 def test_lattice_model_validation():

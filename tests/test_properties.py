@@ -125,6 +125,21 @@ def test_blowup_invariants(model, data):
     assert canonical_square(model) == canonical_square(base) - sum(model.centers)
 
 
+@given(base_models(), st.lists(st.integers(1, 6), min_size=1, max_size=30), st.data())
+@settings(max_examples=200)
+def test_block_intersect_matches_dense_form(base, degrees, data):
+    model = base
+    for degree in degrees:
+        model = blowup(model, degree)
+    a, b = (model.divisor(*[data.draw(COEFF) for _ in range(model.rank)]) for _ in range(2))
+    form = model.form
+    dense = sum(
+        (a.coeffs[i] * form[i][j] * b.coeffs[j] for i in range(model.rank) for j in range(model.rank)),
+        Fraction(0),
+    )
+    assert intersect(a, b) == dense
+
+
 @given(base_models())
 @settings(max_examples=200)
 def test_chi_of_zero_is_one(model):
